@@ -28,12 +28,12 @@
 //!
 //! * [`crate::bigstep::eval_fuel`] runs [`run_id`] over a thread-local
 //!   arena (tree ↔ id conversion once per call, pointer-cached);
-//! * `lambda-join-runtime`'s `MemoEval` and the seminaive engines run
+//! * `lambda-join-runtime`'s `MemoEval` and the seminaive engine run
 //!   [`run_id`] over their own arenas, with the memoising [`IdBetaTable`]
 //!   probing the `(function, argument, fuel)` ids already in hand
 //!   (tabled evaluation, §5.1);
 //! * the tree machine ([`run`]) survives for the shared-table concurrent
-//!   path (`SharedInternTable` fans one memo out across worker threads);
+//!   path (`SharedInternTable` fans one memo out across server sessions);
 //! * the runtime's closure evaluator mirrors the same frame discipline over
 //!   semantic values and environments.
 //!

@@ -24,7 +24,7 @@ pub type TermRef = Arc<Term>;
 pub type Var = Arc<str>;
 
 // Compile-time assertion: the term substrate is thread-shareable — the
-// parallel fixpoint engines move terms freely across worker threads, and
+// server's sessions share terms and one memo across threads, and
 // a reintroduced `Rc`/`Cell` field must fail the build, not the runtime.
 const _: () = {
     const fn require_send_sync<T: Send + Sync>() {}

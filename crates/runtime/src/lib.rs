@@ -21,10 +21,6 @@
 //!   otherwise non-monotone queries with quasi-deterministic conflicts;
 //! * [`parallel`] — deterministic thread parallelism: parallel joins and
 //!   concurrent chaotic iteration with schedule-independent results;
-//! * [`par_seminaive`] — the thread-parallel seminaive engine: each
-//!   round's delta fans out over a bounded worker pool, deduplicated
-//!   through the process-shared sharded interner, with results
-//!   term-for-term equal to the sequential engine;
 //! * [`server`] — `lambdav serve`: a fault-tolerant evaluation service
 //!   with per-request budgets, admission control, failure isolation, and
 //!   generation-tracked memo GC.
@@ -47,7 +43,6 @@ pub mod freeze;
 pub mod interp;
 pub mod kpn;
 pub mod memo;
-pub mod par_seminaive;
 pub mod parallel;
 pub mod semilattice;
 pub mod seminaive;
@@ -55,6 +50,5 @@ pub mod server;
 pub mod stream;
 
 pub use memo::MemoEval;
-pub use par_seminaive::ParSeminaiveEngine;
 pub use semilattice::{BoundedJoinSemilattice, JoinSemilattice};
 pub use stream::MonoStream;

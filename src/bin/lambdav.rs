@@ -27,8 +27,8 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use lambda_join::core::bigstep::eval_fuel;
-use lambda_join::core::engine::{self, Budget, NoTable, StopCause};
+use lambda_join::core::engine::{self, Budget, NoIdTable, StopCause};
+use lambda_join::core::intern::Interner;
 use lambda_join::core::parser::parse;
 use lambda_join::core::TermRef;
 use lambda_join::filter::ambiguity::check_ambiguity_fuel;
@@ -151,18 +151,19 @@ fn eval_command(cmd: &str, rest: Vec<String>) -> ExitCode {
         return eval_with_snapshots(cmd, &term, fuel, load_snapshot, save_snapshot);
     }
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    // One budgeted engine run at `fuel`; returns Err on a tripped deadline.
-    let run_once = |f: usize| -> Result<TermRef, ()> {
-        match deadline {
-            None => Ok(eval_fuel(&term, f)),
-            Some(d) => {
-                let mut budget = Budget::new(usize::MAX).with_deadline(d);
-                let r = engine::run(&term, f, &mut budget, &mut NoTable);
-                match budget.stop_cause() {
-                    Some(StopCause::Deadline) => Err(()),
-                    _ => Ok(r),
-                }
-            }
+    // One budgeted id-machine run at `fuel` over one arena, with or
+    // without a deadline; returns Err on a tripped deadline.
+    let mut arena = Interner::new();
+    let id = arena.canon_id(&term);
+    let mut run_once = |f: usize| -> Result<TermRef, ()> {
+        let mut budget = Budget::new(usize::MAX);
+        if let Some(d) = deadline {
+            budget = budget.with_deadline(d);
+        }
+        let r = engine::run_id(&mut arena, id, f, &mut budget, &mut NoIdTable);
+        match budget.stop_cause() {
+            Some(StopCause::Deadline) => Err(()),
+            _ => Ok(arena.extract(r)),
         }
     };
     match cmd {
